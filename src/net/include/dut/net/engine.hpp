@@ -3,10 +3,22 @@
 // Synchronous message-passing engine for the LOCAL and CONGEST models.
 //
 // Execution follows the standard synchronous round structure: in round t,
-// every non-halted node receives the messages sent to it in round t-1, runs
-// its program, and queues messages for delivery in round t+1. The engine is
-// fully deterministic given (graph, seed, programs): nodes execute in id
-// order and each node's RNG is the derived stream (seed, node id).
+// every non-halted node receives the messages sent to it in round t-1 and
+// may run its program, which queues messages for delivery in round t+1. A
+// node is stepped in round t unless it is asleep: NodeContext::sleep_until
+// lets a program say "do not call me again before round r unless mail
+// arrives" (kForever: only mail wakes me). A sleeping node is woken by any
+// delivery, or by its timer when round r begins. The contract on the
+// program side: while asleep, on_round with an empty inbox would be a
+// no-op — no sends, no state change, no rng() draw — so skipping the call
+// is invisible and every transcript, verdict and metric equals that of an
+// always-awake run. A program that never calls sleep_until is stepped
+// every round. The engine never loops over all nodes per round: it steps
+// the ascending-id merge of the nodes still awake, this round's receivers
+// and the sleepers whose timer falls due, so a round costs O(woken nodes +
+// messages). The engine is fully deterministic given (graph, seed,
+// programs): nodes execute in id order and each node's RNG is the derived
+// stream (seed, node id).
 //
 // Model enforcement is loud:
 //  * CONGEST: any message whose declared size exceeds the bandwidth budget
@@ -19,15 +31,16 @@
 //
 // Delivery: messages in flight live behind a net::Transport
 // (dut/net/transport/transport.hpp). The default backend is the engine's
-// own InProcTransport — a flat payload slab plus a flat record array per
-// direction, flipped at each round boundary with a stable counting sort by
-// destination that yields CSR inbox ranges. Programs read their inbox
-// through MessageView windows into the slab, so a round costs
-// O(messages + fields) with zero per-message allocation, and the buffers'
-// capacity persists both across rounds and across run() calls. That makes
-// an Engine cheaply re-runnable: run(programs, seed) fully resets round
-// state and metrics, so one engine per worker thread amortizes all
-// allocation across a Monte-Carlo sweep (see net::ProtocolDriver).
+// own InProcTransport over a detail::RoundArena (dut/net/arena.hpp) — a
+// flat payload slab plus a flat record array per direction, flipped at each
+// round boundary by a stable scatter over the round's receivers only.
+// Programs read their inbox through MessageView windows into the slab, so
+// delivery costs O(messages + receivers log receivers) with zero
+// per-message allocation, and the buffers' capacity persists both across
+// rounds and across run() calls. That makes an Engine cheaply re-runnable:
+// run(programs, seed) fully resets round state and metrics, so one engine
+// per worker thread amortizes all allocation across a Monte-Carlo sweep
+// (see net::ProtocolDriver).
 // Attaching a ShmTransport instead shards the node range over multiple
 // rank processes that exchange rounds through shared memory; the engine
 // then executes only its rank's shard and the metrics it reports are the
@@ -49,6 +62,7 @@
 // (per-round histograms cover this rank's shard; everything derived from
 // EngineMetrics is global).
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -108,6 +122,9 @@ struct EngineMetrics {
   std::uint64_t messages = 0;      ///< total send attempts (faulty included)
   std::uint64_t total_bits = 0;    ///< sum of declared message sizes
   std::uint64_t max_message_bits = 0;
+  /// NodeProgram::on_round calls (wake-ups); rounds x live nodes for
+  /// programs that never sleep.
+  std::uint64_t wakes = 0;
   /// Injected-fault tallies; all zero unless a FaultPlan is attached.
   FaultCounts faults;
   /// Communication-budget usage metered by the run's obs::BudgetLedger.
@@ -145,6 +162,23 @@ class NodeContext {
   /// Marks the node as finished; on_round will not be called again.
   void halt() noexcept { *halted_ = true; }
 
+  /// Wake-up round for "only a delivery wakes me".
+  static constexpr std::uint64_t kForever =
+      std::numeric_limits<std::uint64_t>::max();
+
+  /// Puts the node to sleep after this call: on_round is not called again
+  /// before `round` unless a message is delivered to it (kForever: wait for
+  /// mail only). The program promises that, until then, on_round with an
+  /// empty inbox would do nothing — no send, no state change, no rng() draw.
+  /// Several calls in one round keep the earliest round; a round <= the
+  /// next one, or no call at all, means "step me next round".
+  // dut-lint: allow(os-primitives-confined): declares a simulated-round
+  // wake-up for the engine's scheduler; no thread or process ever sleeps.
+  void sleep_until(std::uint64_t round) noexcept {
+    round = std::max<std::uint64_t>(round, 1);
+    sleep_until_ = sleep_until_ == 0 ? round : std::min(sleep_until_, round);
+  }
+
  private:
   friend class Engine;
   NodeContext() = default;
@@ -156,14 +190,16 @@ class NodeContext {
   InboxView inbox_;
   stats::Xoshiro256* rng_ = nullptr;
   bool* halted_ = nullptr;
+  std::uint64_t sleep_until_ = 0;  // 0: no sleep requested
 };
 
 /// A distributed algorithm, instantiated once per node.
 class NodeProgram {
  public:
   virtual ~NodeProgram() = default;
-  /// Called once per round (including round 0, with an empty inbox) until
-  /// the node halts via ctx.halt().
+  /// Called in round 0 (with an empty inbox) and then in every round until
+  /// the node halts via ctx.halt(), except rounds it sleeps through (see
+  /// NodeContext::sleep_until).
   virtual void on_round(NodeContext& ctx) = 0;
 };
 
@@ -241,6 +277,11 @@ class Engine : private TransportHooks {
 
  private:
   friend class NodeContext;
+  /// Steps node v's program for the current round and files the node
+  /// under awake_, a timer or halted, per what the program asked for.
+  void step(std::uint32_t v, NodeProgram& program, std::uint64_t& local_active);
+  /// Pops the timers falling due this round into due_ (ascending ids).
+  void collect_due_timers();
   void deliver(std::uint32_t from, std::uint32_t to, const Message& msg);
   /// Tallies the fault in the metrics registry and emits the trace event.
   void emit_fault(std::string_view kind, std::uint32_t from, std::uint32_t to);
@@ -276,6 +317,17 @@ class Engine : private TransportHooks {
   /// transport.hpp; maintained alongside halted_ for the halt_key hook.
   std::vector<std::uint64_t> halt_key_;
   std::vector<stats::Xoshiro256> rngs_;
+
+  /// Wake schedule. awake_ lists (ascending) the shard nodes to step next
+  /// round regardless of mail; a sleeper with a timer has wake_round_[v] =
+  /// its round and an entry in the min-heap timers_ of (round, node), which
+  /// is checked against wake_round_ when it surfaces (a node re-scheduled
+  /// since then leaves a stale entry behind).
+  std::vector<std::uint32_t> awake_;
+  std::vector<std::uint32_t> next_awake_;
+  std::vector<std::uint32_t> due_;
+  std::vector<std::uint64_t> wake_round_;
+  std::vector<std::pair<std::uint64_t, std::uint32_t>> timers_;
 
   /// The delivery backend: the built-in single-process arena unless
   /// set_transport attached another one.

@@ -1,16 +1,11 @@
 #pragma once
 
-// InProcTransport: the single-process round arena, extracted verbatim from
-// the pre-seam net::Engine so single-process runs stay bit-identical and
-// zero-copy.
-//
-// Sends append to the pending side (records in send order, fields packed
-// into the payload slab); flip_round() turns them into the delivered side
-// with a stable counting sort by destination that yields CSR inbox ranges.
+// InProcTransport: the single-process backend. Sends go straight into a
+// detail::RoundArena (dut/net/arena.hpp) over the whole node range, and
+// flip_round() injects the delayed messages that came due and flips it.
 // All buffers are reused across rounds and runs, so a pooled engine's
-// delivery machinery stays allocation-free after warm-up. Delayed (fault-
-// injected) messages wait in the deferred buffers — payload in its own slab
-// so round flips never invalidate the offsets — until their due round.
+// delivery machinery stays allocation-free after warm-up, and a round
+// costs O(messages + receivers log receivers) whatever the node count.
 
 #include <cstdint>
 #include <span>
@@ -32,27 +27,45 @@ class InProcTransport final : public Transport {
     return {0, num_nodes};
   }
 
-  void begin_run(std::uint32_t num_nodes, bool fault_mode,
-                 TransportHooks& hooks) override;
+  void begin_run(std::uint32_t num_nodes, bool /*fault_mode*/,
+                 TransportHooks& hooks) override {
+    hooks_ = &hooks;
+    arena_.reset(0, num_nodes);
+  }
   void enqueue(const detail::ArenaRecord& rec,
-               std::span<const std::uint64_t> fields, bool duplicate) override;
+               std::span<const std::uint64_t> fields, bool duplicate) override {
+    arena_.enqueue(rec, fields, duplicate);
+  }
   void enqueue_delayed(const detail::ArenaRecord& rec,
                        std::span<const std::uint64_t> fields,
-                       std::uint64_t due_round, bool duplicate) override;
-  void flip_round(std::uint64_t round) override;
+                       std::uint64_t due_round, bool duplicate) override {
+    arena_.defer(rec, fields, due_round, duplicate);
+  }
+  void flip_round(std::uint64_t round) override {
+    // Delayed messages whose round has come land behind this round's fresh
+    // sends (fresh-before-delayed per inbox).
+    arena_.inject_deferred(round, *hooks_);
+    arena_.flip();
+  }
   std::uint64_t sync_active(std::uint64_t local_active) override {
     return local_active;
   }
   InboxView inbox(std::uint32_t node) const noexcept override {
-    return InboxView(delivered_records_.data() + inbox_offset_[node],
-                     inbox_offset_[node + 1] - inbox_offset_[node],
-                     delivered_payload_.data());
+    return arena_.inbox(node);
+  }
+  std::span<const std::uint32_t> receivers() const noexcept override {
+    return arena_.receivers();
   }
   std::uint32_t pending_to(std::uint32_t node) const noexcept override {
-    return pending_count_[node];
+    return arena_.pending_to(node);
   }
-  bool has_undelivered() const override { return !pending_records_.empty(); }
-  void settle_run(std::uint64_t round) override;
+  bool has_undelivered() const override { return arena_.has_pending(); }
+  void settle_run(std::uint64_t /*round*/) override {
+    // Delayed messages that never came due are accounted as expired. Sends
+    // staged in the final round already paid their send-site expiry checks,
+    // so no final flip is needed in-process.
+    arena_.expire_deferred(*hooks_);
+  }
   void reduce_metrics(EngineMetrics&) override {}
   void exchange_summaries(std::span<const std::uint64_t> local,
                           std::vector<std::uint64_t>& all) override {
@@ -61,30 +74,8 @@ class InProcTransport final : public Transport {
   void abort_run(TransportAbortCode) noexcept override {}
 
  private:
-  /// Moves deferred (delayed) messages whose due round has arrived into the
-  /// pending arena, ahead of the counting sort; copies destined to
-  /// now-halted nodes are discarded as `expired`.
-  void inject_deferred(std::uint64_t round);
-
-  struct DeferredRecord {
-    detail::ArenaRecord rec;
-    std::uint64_t due_round = 0;
-  };
-
-  std::uint32_t num_nodes_ = 0;
-  bool fault_mode_ = false;
   TransportHooks* hooks_ = nullptr;
-
-  std::vector<detail::ArenaRecord> pending_records_;
-  std::vector<std::uint64_t> pending_payload_;
-  std::vector<detail::ArenaRecord> delivered_records_;
-  std::vector<std::uint64_t> delivered_payload_;
-  std::vector<std::uint32_t> pending_count_;  // per-node queued messages
-  std::vector<std::size_t> inbox_offset_;     // size num_nodes + 1
-  std::vector<std::size_t> cursor_;           // counting-sort scratch
-
-  std::vector<DeferredRecord> deferred_records_;
-  std::vector<std::uint64_t> deferred_payload_;
+  detail::RoundArena arena_;
 };
 
 }  // namespace dut::net

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <bit>
 #include <cstdlib>
+#include <functional>
+#include <numeric>
 #include <string>
 
 #include "dut/net/transport/inproc.hpp"
@@ -206,6 +208,65 @@ void Engine::emit_fault(std::string_view kind, std::uint32_t from,
   }
 }
 
+void Engine::collect_due_timers() {
+  due_.clear();
+  while (!timers_.empty() && timers_.front().first <= current_round_) {
+    std::pop_heap(timers_.begin(), timers_.end(), std::greater<>{});
+    const auto [round, v] = timers_.back();
+    timers_.pop_back();
+    // Entries surface in (round, node) order, so re-armed duplicates of one
+    // timer are adjacent.
+    if (wake_round_[v] == round && !halted_[v] &&
+        (due_.empty() || due_.back() != v)) {
+      due_.push_back(v);
+    }
+  }
+}
+
+void Engine::step(std::uint32_t v, NodeProgram& program,
+                  std::uint64_t& local_active) {
+  NodeContext ctx;
+  ctx.engine_ = this;
+  ctx.id_ = v;
+  ctx.round_ = current_round_;
+  ctx.neighbors_ = graph_.neighbors(v);
+  ctx.inbox_ = transport_->inbox(v);
+  ctx.rng_ = &rngs_[v];
+  bool halted_flag = false;
+  ctx.halted_ = &halted_flag;
+  ++metrics_.wakes;
+  program.on_round(ctx);
+  if (halted_flag) {
+    halted_[v] = true;
+    halt_key_[v] = halt_key_voluntary(current_round_, v);
+    --local_active;
+    if (active_sink_ != nullptr) {
+      active_sink_->on_halt(current_round_, v);
+    }
+    if (transport_->pending_to(v) != 0 && !fault_plan_.has_value()) {
+      // A same-round earlier neighbor already queued a message for a node
+      // that has just halted: the protocol's termination is racy. In fault
+      // mode this is routine (retransmissions race halts) and the queued
+      // messages simply land in a dead inbox.
+      const std::string detail = "node " + std::to_string(v) +
+                                 " halted with queued incoming messages";
+      trace_violation("protocol", detail);
+      throw ProtocolViolation(detail);
+    }
+    return;
+  }
+  if (ctx.sleep_until_ <= current_round_ + 1) {
+    wake_round_[v] = 0;
+    next_awake_.push_back(v);
+    return;
+  }
+  wake_round_[v] = ctx.sleep_until_;
+  if (ctx.sleep_until_ != NodeContext::kForever) {
+    timers_.emplace_back(ctx.sleep_until_, v);
+    std::push_heap(timers_.begin(), timers_.end(), std::greater<>{});
+  }
+}
+
 void Engine::run(const std::vector<NodeProgram*>& programs) {
   run(programs, config_.seed);
 }
@@ -231,6 +292,12 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
   current_round_ = 0;
   halted_.assign(k, false);
   halt_key_.assign(k, kNeverHalted);
+  // Round 0 steps every shard node; from then on only wake-ups do.
+  awake_.resize(shard_last - shard_first);
+  std::iota(awake_.begin(), awake_.end(), shard_first);
+  next_awake_.clear();
+  timers_.clear();
+  wake_round_.assign(k, 0);
   std::fill(last_sent_round_.begin(), last_sent_round_.end(), kNeverSent);
   transport_->begin_run(k, fault_plan_.has_value(), *this);
   crash_cursor_ = 0;
@@ -343,7 +410,7 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
       if (active_sink_ != nullptr) {
         active_sink_->on_round(current_round_, active);
         if (trace_delivers_) {
-          for (std::uint32_t v = shard_first; v < shard_last; ++v) {
+          for (const std::uint32_t v : transport_->receivers()) {
             for (const MessageView m : transport_->inbox(v)) {
               active_sink_->on_deliver(current_round_, m.sender, v, m.bits);
             }
@@ -353,38 +420,27 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
       const std::uint64_t messages_before = metrics_.messages;
       const std::uint64_t bits_before = metrics_.total_bits;
 
-      for (std::uint32_t v = shard_first; v < shard_last; ++v) {
-        if (halted_[v]) continue;
-        NodeContext ctx;
-        ctx.engine_ = this;
-        ctx.id_ = v;
-        ctx.round_ = current_round_;
-        ctx.neighbors_ = graph_.neighbors(v);
-        ctx.inbox_ = transport_->inbox(v);
-        ctx.rng_ = &rngs_[v];
-        bool halted_flag = false;
-        ctx.halted_ = &halted_flag;
-        programs[v]->on_round(ctx);
-        if (halted_flag) {
-          halted_[v] = true;
-          halt_key_[v] = halt_key_voluntary(current_round_, v);
-          --local_active;
-          if (active_sink_ != nullptr) {
-            active_sink_->on_halt(current_round_, v);
-          }
-          if (transport_->pending_to(v) != 0 && !fault_plan_.has_value()) {
-            // A same-round earlier neighbor already queued a message for a
-            // node that has just halted: the protocol's termination is racy.
-            // In fault mode this is routine (retransmissions race halts) and
-            // the queued messages simply land in a dead inbox.
-            const std::string detail =
-                "node " + std::to_string(v) +
-                " halted with queued incoming messages";
-            trace_violation("protocol", detail);
-            throw ProtocolViolation(detail);
-          }
-        }
+      // Step the ascending merge of the still-awake nodes, this round's
+      // receivers and the sleepers whose timer is due; a node in several
+      // of the lists runs once.
+      collect_due_timers();
+      const std::span<const std::uint32_t> mail = transport_->receivers();
+      next_awake_.clear();
+      std::size_t ia = 0;
+      std::size_t im = 0;
+      std::size_t id = 0;
+      for (;;) {
+        constexpr std::uint32_t kNone = ~std::uint32_t{0};
+        std::uint32_t v = ia < awake_.size() ? awake_[ia] : kNone;
+        if (im < mail.size()) v = std::min(v, mail[im]);
+        if (id < due_.size()) v = std::min(v, due_[id]);
+        if (v == kNone) break;
+        if (ia < awake_.size() && awake_[ia] == v) ++ia;
+        if (im < mail.size() && mail[im] == v) ++im;
+        if (id < due_.size() && due_[id] == v) ++id;
+        if (!halted_[v]) step(v, *programs[v], local_active);
       }
+      awake_.swap(next_awake_);
       if (instrumented) {
         // Shard-local by construction: a sharded run's per-round histograms
         // cover this rank's sends only (the run_end totals are global).
@@ -439,6 +495,7 @@ void Engine::run(const std::vector<NodeProgram*>& programs,
   if (instrumented) {
     obs::counter("net.rounds").add(metrics_.rounds);
     obs::counter("net.messages").add(metrics_.messages);
+    obs::counter("net.wakes").add(metrics_.wakes);
     obs::counter("net.bits").add(metrics_.total_bits);
     // Per-run budget figures, one histogram record per completed run; the
     // report's "budget" section is budget_from_snapshot() over these. A

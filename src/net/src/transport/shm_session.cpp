@@ -302,6 +302,13 @@ ShmSession::Trial ShmSession::wait_trial(std::uint64_t last_seq) {
     // release store; trial_seed/flags and the resets are visible here.
     const std::uint64_t seq = c.trial_seq.load(std::memory_order_acquire);
     if (seq > last_seq) {
+      // The new seq may be end_session's wake-up bump, released after the
+      // shutdown flag: re-check the flag so the bump is never served as a
+      // trial.
+      // dut-lint: ordering(shutdown-visibility): acquire, as above.
+      if (c.shutdown.load(std::memory_order_acquire) != 0) {
+        return Trial{.shutdown = true};
+      }
       return Trial{.shutdown = false,
                    .seq = seq,
                    .seed = c.trial_seed,

@@ -4,16 +4,19 @@
 // histograms shared by every layer (net engine, trial engine, monitor,
 // benches). Design constraints, in order:
 //
-//  * Hot-path writes are single relaxed atomic RMWs — no locks, no
-//    allocation, no branches beyond the instrument call itself. Call sites
+//  * Hot-path writes are atomic RMWs — no locks, no allocation, no
+//    branches beyond the instrument call itself (a histogram record is a
+//    sum add, min/max CAS loops and one release bucket tick). Call sites
 //    on genuinely hot paths additionally gate on obs::enabled() so
 //    DUT_OBS_LEVEL=0 restores the uninstrumented cost.
 //  * Instrument references are stable for the process lifetime: register
 //    once (typically into a function-local static reference), then write
 //    forever without touching the registry mutex again.
-//  * snapshot() returns a consistent-enough copy for reporting (values are
-//    read relaxed; torn cross-instrument views are acceptable, torn single
-//    values are not), reset() zeroes values but keeps registrations.
+//  * snapshot() returns a consistent-enough copy for reporting (torn
+//    cross-instrument views are acceptable, torn single values are not).
+//    A histogram's count is the sum of the buckets it read, and its min/max
+//    are read after those buckets, so count, buckets, min and max always
+//    agree, even mid-write. reset() zeroes values but keeps registrations.
 //
 // Naming scheme (DESIGN.md §9): lowercase dotted "area.noun[.unit]" —
 // e.g. net.messages, net.round.bits, stats.chunk.us, monitor.alarms.
@@ -89,11 +92,13 @@ class Histogram {
 
   void record(std::uint64_t value) noexcept {
 #if DUT_OBS_LEVEL
-    count_.fetch_add(1, std::memory_order_relaxed);
     sum_.fetch_add(value, std::memory_order_relaxed);
-    buckets_[bucket_index(value)].fetch_add(1, std::memory_order_relaxed);
     update_min(value);
     update_max(value);
+    // The bucket tick is the record's commit: it releases sum/min/max to a
+    // reader that acquires the bucket, so any record a snapshot counts
+    // already shows in its min and max.
+    buckets_[bucket_index(value)].fetch_add(1, std::memory_order_release);
 #else
     (void)value;
 #endif
@@ -107,8 +112,11 @@ class Histogram {
     return b == 0 ? 0 : std::uint64_t{1} << (b - 1);
   }
 
+  /// Σ buckets: a record counts once its bucket tick is visible.
   std::uint64_t count() const noexcept {
-    return count_.load(std::memory_order_relaxed);
+    std::uint64_t total = 0;
+    for (std::size_t b = 0; b < kBuckets; ++b) total += bucket(b);
+    return total;
   }
   std::uint64_t sum() const noexcept {
     return sum_.load(std::memory_order_relaxed);
@@ -121,12 +129,13 @@ class Histogram {
   std::uint64_t max() const noexcept {
     return max_.load(std::memory_order_relaxed);
   }
+  /// Acquires the bucket, so min()/max() read afterwards cover every
+  /// record it counts.
   std::uint64_t bucket(std::size_t b) const noexcept {
-    return buckets_[b].load(std::memory_order_relaxed);
+    return buckets_[b].load(std::memory_order_acquire);
   }
 
   void reset() noexcept {
-    count_.store(0, std::memory_order_relaxed);
     sum_.store(0, std::memory_order_relaxed);
     min_.store(~std::uint64_t{0}, std::memory_order_relaxed);
     max_.store(0, std::memory_order_relaxed);
@@ -149,7 +158,6 @@ class Histogram {
     }
   }
 
-  std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_{0};
   std::atomic<std::uint64_t> min_{~std::uint64_t{0}};
   std::atomic<std::uint64_t> max_{0};

@@ -90,14 +90,16 @@ MetricsSnapshot Registry::snapshot() const {
       case Kind::kHistogram: {
         const Histogram& h = *e.histogram;
         HistogramData data;
-        data.count = h.count();
+        // Buckets first (acquire), then the rest: count is their sum, and
+        // min/max already cover every record they counted.
+        for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
+          const std::uint64_t c = h.bucket(b);
+          data.count += c;
+          if (c != 0) data.buckets.emplace_back(Histogram::bucket_floor(b), c);
+        }
         data.sum = h.sum();
         data.max = h.max();
         data.min = data.count == 0 ? 0 : h.min();
-        for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
-          const std::uint64_t c = h.bucket(b);
-          if (c != 0) data.buckets.emplace_back(Histogram::bucket_floor(b), c);
-        }
         snap.histograms.emplace(name, std::move(data));
         break;
       }

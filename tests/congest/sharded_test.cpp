@@ -61,6 +61,7 @@ void expect_equal_trial(const CongestRunResult& a, const CongestRunResult& b,
       << "seed " << seed;
   EXPECT_EQ(a.metrics.budget.violations, b.metrics.budget.violations)
       << "seed " << seed;
+  EXPECT_EQ(a.metrics.wakes, b.metrics.wakes) << "seed " << seed;
 }
 
 std::vector<std::uint64_t> gate_seeds(std::uint64_t base,

@@ -157,6 +157,22 @@ TEST(CongestTester, PackageCountMatchesPlan) {
   EXPECT_LE(result.verdict.votes_reject, result.num_packages);
 }
 
+TEST(CongestTester, IdleNodesSleepThroughTheRoundLoop) {
+  // Token packaging keeps one tree edge busy per node at a time, so a node
+  // waits for mail most rounds: with wake-on-delivery a grid trial steps
+  // far fewer nodes than rounds x k.
+  const auto plan = plan_congest(1 << 12, 4096, 1.2);
+  ASSERT_TRUE(plan.feasible);
+  const Graph g = Graph::grid(64, 64);
+  const core::AliasSampler uni(core::uniform(1 << 12));
+  const auto result = run_congest_uniformity(plan, g, uni, 13);
+  const std::uint64_t always_awake = result.metrics.rounds * g.num_nodes();
+  EXPECT_GE(result.metrics.wakes, g.num_nodes());
+  EXPECT_LT(result.metrics.wakes * 10, always_awake)
+      << result.metrics.wakes << " wakes over " << result.metrics.rounds
+      << " rounds";
+}
+
 TEST(CongestTester, DeterministicPerSeed) {
   const auto plan = plan_congest(1 << 12, 4096, 1.2);
   ASSERT_TRUE(plan.feasible);

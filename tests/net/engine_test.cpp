@@ -4,6 +4,7 @@
 
 #include <vector>
 
+#include "dut/net/fault.hpp"
 #include "dut/net/graph.hpp"
 
 namespace dut::net {
@@ -219,6 +220,168 @@ TEST(Engine, SenderFieldIsStamped) {
   std::vector<NodeProgram*> raw{&sender, &recorder};
   engine.run(raw);
   EXPECT_EQ(recorder.sender_, 0u);
+}
+
+// --- Wake contract (NodeContext::sleep_until) -----------------------------
+
+/// Round 0: asks to sleep until `wake` (also asking for a later round first,
+/// which the earlier request overrides). Any later call halts. Records the
+/// rounds it ran in and how much mail it read.
+class Sleeper : public NodeProgram {
+ public:
+  explicit Sleeper(std::uint64_t wake) : wake_(wake) {}
+
+  void on_round(NodeContext& ctx) override {
+    calls_.push_back(ctx.round());
+    heard_ += ctx.inbox().size();
+    if (ctx.round() > 0) {
+      ctx.halt();
+      return;
+    }
+    if (wake_ != NodeContext::kForever) ctx.sleep_until(wake_ + 2);
+    ctx.sleep_until(wake_);
+  }
+
+  std::vector<std::uint64_t> calls_;
+  std::uint64_t heard_ = 0;
+
+ private:
+  std::uint64_t wake_;
+};
+
+/// Awake every round; sends one message to `target` in round `at`, then
+/// halts.
+class SendAt : public NodeProgram {
+ public:
+  SendAt(std::uint32_t target, std::uint64_t at) : target_(target), at_(at) {}
+
+  void on_round(NodeContext& ctx) override {
+    if (ctx.round() < at_) return;
+    Message msg;
+    msg.push_field(5, 8);
+    ctx.send(target_, msg);
+    ctx.halt();
+  }
+
+ private:
+  std::uint32_t target_;
+  std::uint64_t at_;
+};
+
+TEST(EngineWake, SleeperIsNotCalledUntilADeliveryWakesIt) {
+  const Graph g = Graph::line(2);
+  Engine engine(g, EngineConfig{Model::kCongest, 64, 100, 1});
+  Sleeper sleeper(NodeContext::kForever);
+  SendAt sender(0, 5);
+  std::vector<NodeProgram*> raw{&sleeper, &sender};
+  engine.run(raw);
+  // Round 0, then nothing until the round-5 send lands in round 6.
+  EXPECT_EQ(sleeper.calls_, (std::vector<std::uint64_t>{0, 6}));
+  EXPECT_EQ(sleeper.heard_, 1u);
+  EXPECT_EQ(engine.metrics().rounds, 7u);
+  // Node 1 ran rounds 0..5; node 0 twice.
+  EXPECT_EQ(engine.metrics().wakes, 8u);
+}
+
+TEST(EngineWake, TimerFiresOnItsRoundAndEarliestRequestWins) {
+  const Graph g = Graph::line(2);
+  Engine engine(g, EngineConfig{Model::kCongest, 64, 100, 1});
+  Sleeper sleeper(7);  // asks for 9, then 7
+  HaltImmediately quitter;
+  std::vector<NodeProgram*> raw{&sleeper, &quitter};
+  engine.run(raw);
+  EXPECT_EQ(sleeper.calls_, (std::vector<std::uint64_t>{0, 7}));
+  EXPECT_EQ(sleeper.heard_, 0u);
+  EXPECT_EQ(engine.metrics().rounds, 8u);
+  EXPECT_EQ(engine.metrics().wakes, 3u);
+}
+
+TEST(EngineWake, SleepUntilTheNextRoundStaysAwake) {
+  const Graph g = Graph::line(2);
+  Engine engine(g, EngineConfig{Model::kCongest, 64, 100, 1});
+  Sleeper sleeper(1);
+  HaltImmediately quitter;
+  std::vector<NodeProgram*> raw{&sleeper, &quitter};
+  engine.run(raw);
+  EXPECT_EQ(sleeper.calls_, (std::vector<std::uint64_t>{0, 1}));
+}
+
+TEST(EngineWake, MailAndTimerInOneRoundWakeOnce) {
+  const Graph g = Graph::line(2);
+  Engine engine(g, EngineConfig{Model::kCongest, 64, 100, 1});
+  Sleeper sleeper(4);
+  SendAt sender(0, 3);  // lands in round 4, the timer's round
+  std::vector<NodeProgram*> raw{&sleeper, &sender};
+  engine.run(raw);
+  EXPECT_EQ(sleeper.calls_, (std::vector<std::uint64_t>{0, 4}));
+  EXPECT_EQ(sleeper.heard_, 1u);
+}
+
+TEST(EngineWake, CrashWhileAsleepIsTallied) {
+  const Graph g = Graph::line(2);
+  FaultPlan plan(1);
+  plan.add_crash(/*node=*/0, /*round=*/3);
+  Engine engine(g, EngineConfig{Model::kCongest, 64, 100, 1});
+  engine.set_fault_plan(plan);
+  Sleeper sleeper(NodeContext::kForever);
+  SendAt sender(0, 5);
+  std::vector<NodeProgram*> raw{&sleeper, &sender};
+  engine.run(raw);
+  // The crash takes the sleeper out without a wake-up; the later send to
+  // it expires.
+  EXPECT_EQ(sleeper.calls_, (std::vector<std::uint64_t>{0}));
+  EXPECT_EQ(engine.metrics().faults.crashes, 1u);
+  EXPECT_EQ(engine.metrics().faults.expired, 1u);
+  EXPECT_EQ(engine.metrics().rounds, 6u);
+}
+
+TEST(EngineWake, DelayedMessageWakesSleeperWhenItLands) {
+  const Graph g = Graph::line(2);
+  FaultPlan plan(1);
+  FaultRates rates;
+  rates.delay = 1.0;
+  rates.max_delay_rounds = 3;
+  plan.set_rates(rates);
+  Engine engine(g, EngineConfig{Model::kCongest, 64, 100, 1});
+  engine.set_fault_plan(plan);
+  Sleeper sleeper(NodeContext::kForever);
+  SendAt sender(0, 2);
+  std::vector<NodeProgram*> raw{&sleeper, &sender};
+  engine.run(raw);
+  EXPECT_EQ(engine.metrics().faults.delayed, 1u);
+  ASSERT_EQ(sleeper.calls_.size(), 2u);
+  // Due in round 3 + delay, delay in [1, 3].
+  EXPECT_GE(sleeper.calls_[1], 4u);
+  EXPECT_LE(sleeper.calls_[1], 6u);
+  EXPECT_EQ(sleeper.heard_, 1u);
+}
+
+TEST(EngineWake, DuplicatedMessageWakesSleeperOnce) {
+  const Graph g = Graph::line(2);
+  FaultPlan plan(1);
+  FaultRates rates;
+  rates.duplicate = 1.0;
+  plan.set_rates(rates);
+  Engine engine(g, EngineConfig{Model::kCongest, 64, 100, 1});
+  engine.set_fault_plan(plan);
+  Sleeper sleeper(NodeContext::kForever);
+  SendAt sender(0, 2);
+  std::vector<NodeProgram*> raw{&sleeper, &sender};
+  engine.run(raw);
+  EXPECT_EQ(engine.metrics().faults.duplicated, 1u);
+  EXPECT_EQ(sleeper.calls_, (std::vector<std::uint64_t>{0, 3}));
+  EXPECT_EQ(sleeper.heard_, 2u);
+}
+
+TEST(EngineWake, ProgramsThatNeverSleepAreWokenEveryRound) {
+  const Graph g = Graph::line(3);
+  Engine engine(g, EngineConfig{Model::kCongest, 64, 100, 1});
+  std::vector<PingProgram> progs{PingProgram(4), PingProgram(4),
+                                 PingProgram(4)};
+  std::vector<NodeProgram*> raw{&progs[0], &progs[1], &progs[2]};
+  engine.run(raw);
+  EXPECT_EQ(engine.metrics().rounds, 5u);
+  EXPECT_EQ(engine.metrics().wakes, 3u * 5u);
 }
 
 TEST(Message, PushFieldValidation) {

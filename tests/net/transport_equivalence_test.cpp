@@ -65,6 +65,48 @@ class EchoSum : public NodeProgram {
   std::uint64_t total_ = 0;
 };
 
+/// Wakes on mail and on timers only: broadcasts in round 0 and at a
+/// per-node timer round, answers every third delivery with a broadcast,
+/// and sleeps otherwise; every node's last timer halts it. With `sleeps`
+/// false the same program is stepped every round, which must change
+/// nothing but the wake count.
+class SleepyEcho : public NodeProgram {
+ public:
+  static constexpr std::uint64_t kHaltRound = 16;
+
+  SleepyEcho(std::uint32_t id, bool sleeps)
+      : first_timer_(2 + id % 5), sleeps_(sleeps) {}
+
+  void on_round(NodeContext& ctx) override {
+    for (const MessageView msg : ctx.inbox()) {
+      total_ += msg.field(0) * 31 + msg.sender;
+      ++heard_;
+    }
+    const std::uint64_t r = ctx.round();
+    if (r >= kHaltRound) {
+      ctx.halt();
+      return;
+    }
+    const bool timer = r == 0 || r == first_timer_;
+    if (timer || (!ctx.inbox().empty() && heard_ % 3 == 1)) {
+      Message msg;
+      msg.push_field((ctx.id() * 1315423911ULL + r * 2654435761ULL) &
+                         0xFFFFFFFFULL,
+                     32);
+      ctx.broadcast(msg);
+    }
+    if (sleeps_) ctx.sleep_until(r < first_timer_ ? first_timer_ : kHaltRound);
+  }
+
+  std::uint64_t total() const noexcept { return total_; }
+
+ private:
+  std::uint64_t first_timer_;
+  bool sleeps_;
+  std::uint64_t total_ = 0;
+  std::uint64_t heard_ = 0;
+};
+
 struct ToyResult {
   std::uint64_t sum = 0;
   EngineMetrics metrics;
@@ -85,20 +127,50 @@ void expect_equal(const ToyResult& a, const ToyResult& b) {
   EXPECT_EQ(a.metrics.budget.max_node_bits, b.metrics.budget.max_node_bits);
   EXPECT_EQ(a.metrics.budget.busiest_node, b.metrics.budget.busiest_node);
   EXPECT_EQ(a.metrics.budget.violations, b.metrics.budget.violations);
+  EXPECT_EQ(a.metrics.wakes, b.metrics.wakes);
 }
 
 constexpr std::uint64_t kRounds = 6;
 
-/// Trial flags on the session wire: 0 = clean, v+1 = node v poisons.
+/// Trial flags on the session wire: low bits 0 = clean, v+1 = node v
+/// poisons; kSleepy runs SleepyEcho instead of EchoSum.
+constexpr std::uint64_t kSleepy = 1ULL << 32;
+
+/// EchoSum, or SleepyEcho (sleeping or not) — one result type for both.
+class ToyProgram : public NodeProgram {
+ public:
+  ToyProgram(std::uint32_t k, std::uint32_t v, std::uint64_t flags,
+             bool sleeps)
+      : echo_(k, kRounds, (flags & ~kSleepy) != 0 &&
+                              v == (flags & ~kSleepy) - 1),
+        sleepy_(v, sleeps),
+        use_sleepy_((flags & kSleepy) != 0) {}
+
+  void on_round(NodeContext& ctx) override {
+    if (use_sleepy_) {
+      sleepy_.on_round(ctx);
+    } else {
+      echo_.on_round(ctx);
+    }
+  }
+  std::uint64_t total() const noexcept {
+    return use_sleepy_ ? sleepy_.total() : echo_.total();
+  }
+
+ private:
+  EchoSum echo_;
+  SleepyEcho sleepy_;
+  bool use_sleepy_;
+};
+
 ToyResult run_toy_trial(ProtocolDriver& driver, Transport* transport,
                         const Graph& graph, std::uint64_t seed,
-                        std::uint64_t flags) {
+                        std::uint64_t flags, bool sleeps = true) {
   const std::uint32_t k = graph.num_nodes();
   return driver.run_trial(
       seed, false, {},
       [&](std::uint32_t v) {
-        return std::make_unique<EchoSum>(k, kRounds,
-                                         flags != 0 && v == flags - 1);
+        return std::make_unique<ToyProgram>(k, v, flags, sleeps);
       },
       [&](const auto& programs, const EngineMetrics& metrics) {
         ToyResult result;
@@ -215,6 +287,36 @@ TEST(TransportEquivalence, ShmMatchesInProcBitForBit) {
       expect_equal(a, b);
       EXPECT_GT(b.sum, 0u);
       EXPECT_EQ(b.metrics.rounds, kRounds + 1);
+    }
+    sharded.finish();
+  }
+}
+
+TEST(TransportEquivalence, SleepingProgramsMatchAcrossTransports) {
+  // Wake-on-delivery must be invisible: a sleeping program equals its
+  // always-awake twin in everything but the wake count, and the sharded
+  // runs (receivers and timers per shard) equal the in-process one bit for
+  // bit, wake count included.
+  const Graph g = Graph::random_connected(24, 1.5, 5);
+  ProtocolDriver inproc(g, kToyConfig);
+  std::vector<ToyResult> expected;
+  for (std::uint64_t seed = 50; seed < 53; ++seed) {
+    ToyResult awake = run_toy_trial(inproc, nullptr, g, seed, kSleepy,
+                                    /*sleeps=*/false);
+    const ToyResult asleep = run_toy_trial(inproc, nullptr, g, seed, kSleepy);
+    EXPECT_EQ(awake.metrics.wakes,
+              g.num_nodes() * (SleepyEcho::kHaltRound + 1));
+    EXPECT_LT(asleep.metrics.wakes, awake.metrics.wakes);
+    EXPECT_EQ(asleep.metrics.rounds, SleepyEcho::kHaltRound + 1);
+    EXPECT_GT(asleep.sum, 0u);
+    awake.metrics.wakes = asleep.metrics.wakes;
+    expect_equal(awake, asleep);
+    expected.push_back(asleep);
+  }
+  for (const std::uint32_t num_ranks : {2u, 4u}) {
+    ShardedToyHarness sharded(g, kToyConfig, num_ranks, nullptr);
+    for (std::uint64_t seed = 50; seed < 53; ++seed) {
+      expect_equal(expected[seed - 50], sharded.run(seed, kSleepy));
     }
     sharded.finish();
   }

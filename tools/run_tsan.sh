@@ -10,7 +10,8 @@
 # participants contend on the session's lockstep atomics (exchange parity
 # buffers, trial mailbox, rings) — the shm transport's synchronization
 # primitives under TSan; e16_transport then drives the forked multi-process
-# backend end to end with a traced, merged 2-rank trial.
+# backend end to end with a traced, merged 2-rank trial. dut_congest_tests
+# runs the transport and golden-transcript determinism gates.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -18,7 +19,8 @@ cd "$(dirname "$0")/.."
 cmake --preset tsan -DDUT_BUILD_BENCH=ON
 cmake --build --preset tsan -j "$(nproc)" \
   --target dut_stats_tests dut_core_tests dut_obs_tests dut_net_tests \
-           dut_serve_tests dut_integration_tests e7_token_packaging \
+           dut_congest_tests dut_serve_tests dut_integration_tests \
+           e7_token_packaging \
            e8_congest e9_local e15_fault_tolerance e16_transport e17_serve \
            dut_trace dut_lint
 
@@ -37,6 +39,14 @@ echo "== dut_core_tests engine-facing slices (DUT_THREADS=${DUT_THREADS}) =="
 
 echo "== dut_net_tests engine + tracing (DUT_THREADS=${DUT_THREADS}) =="
 ./build-tsan/tests/dut_net_tests
+
+# The CONGEST determinism gates: the sharded tester (forked shm ranks) must
+# match the in-process run bit for bit, and the in-process run must match
+# the golden transcripts recorded with the always-awake engine — so the
+# wake-on-delivery scheduler and the shared round arena run race-checked.
+echo "== transport_congest_gate + golden_transcript_gate (DUT_THREADS=${DUT_THREADS}) =="
+./build-tsan/tests/dut_congest_tests \
+  --gtest_filter='TransportCongestGate.*:Cases/GoldenTranscript.*'
 
 echo "== dut_integration_tests trial-parallel determinism (DUT_THREADS=${DUT_THREADS}) =="
 ./build-tsan/tests/dut_integration_tests --gtest_filter='NetTrials*'
