@@ -52,7 +52,10 @@ const std::string kRunEnd =
 class TraceMerge : public ::testing::Test {
  protected:
   void SetUp() override {
-    base_ = testing::TempDir() + "trace_merge_test.jsonl";
+    // One file per test: ctest runs the cases as concurrent processes.
+    base_ = testing::TempDir() + "trace_merge_" +
+            testing::UnitTest::GetInstance()->current_test_info()->name() +
+            ".jsonl";
     std::remove(base_.c_str());
     for (std::uint32_t r = 0; r < 4; ++r) {
       std::remove(shard_path(base_, r).c_str());
