@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 
 #include "dut/core/families.hpp"
@@ -14,13 +15,16 @@
 namespace dut::core {
 namespace {
 
+// No padding bytes: gtest prints an unprintable param as its raw bytes, and
+// gtest_discover_tests puts that dump into the ctest name, so padding would
+// leak uninitialised memory into the name and change it from run to run.
 struct FilterPoint {
-  int reference;  // index into the family list
+  std::int64_t reference;  // index into the family list
   double eps;
   double grains;
 };
 
-Distribution make_reference(int index, std::uint64_t n) {
+Distribution make_reference(std::int64_t index, std::uint64_t n) {
   switch (index) {
     case 0: return uniform(n);
     case 1: return zipf(n, 1.0);
@@ -30,7 +34,7 @@ Distribution make_reference(int index, std::uint64_t n) {
   }
 }
 
-const char* reference_name(int index) {
+const char* reference_name(std::int64_t index) {
   switch (index) {
     case 0: return "uniform";
     case 1: return "zipf1";
